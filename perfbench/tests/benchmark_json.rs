@@ -1,0 +1,53 @@
+//! `BENCHMARK.json` at the repository root must list exactly the workloads
+//! and metrics (names and units, in order) the benchmark reports.
+
+use aod_core::json::JsonValue;
+use perfbench::inputs::Workload;
+use perfbench::report::{END_TO_END, PER_LAYER};
+
+fn benchmark_json() -> JsonValue {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
+    let text = std::fs::read_to_string(path).expect("BENCHMARK.json sits at the repository root");
+    JsonValue::parse(&text).expect("BENCHMARK.json is valid JSON")
+}
+
+fn listed(doc: &JsonValue, key: &str) -> Vec<(String, String)> {
+    doc.get(key)
+        .and_then(JsonValue::as_array)
+        .unwrap_or_else(|| panic!("`{key}` is an array"))
+        .iter()
+        .map(|m| {
+            let field = |f: &str| {
+                m.get(f)
+                    .and_then(JsonValue::as_str)
+                    .unwrap_or("")
+                    .to_string()
+            };
+            (field("name"), field("unit"))
+        })
+        .collect()
+}
+
+fn owned(list: &[(&str, &str)]) -> Vec<(String, String)> {
+    list.iter()
+        .map(|&(n, u)| (n.to_string(), u.to_string()))
+        .collect()
+}
+
+#[test]
+fn metric_lists_match_the_code() {
+    let doc = benchmark_json();
+    assert_eq!(listed(&doc, "end_to_end"), owned(END_TO_END));
+    assert_eq!(listed(&doc, "per_layer"), owned(PER_LAYER));
+}
+
+#[test]
+fn workloads_match_the_code() {
+    let doc = benchmark_json();
+    let names: Vec<String> = listed(&doc, "workloads")
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    let known: Vec<String> = Workload::ALL.iter().map(|w| w.name().to_string()).collect();
+    assert_eq!(names, known);
+}
