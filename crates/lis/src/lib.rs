@@ -4,7 +4,11 @@
 //!
 //! * [`lnds_indices`] / [`lis_indices`] — longest non-decreasing / strictly
 //!   increasing subsequence in `O(m log m)` (patience/Fredman), the core of
-//!   the **optimal** validator (Algorithm 2).
+//!   the **optimal** validator (Algorithm 2); [`lnds_indices_with`] writes
+//!   the witness into caller-provided buffers.
+//! * [`lnds_removals_within`] — the length-only LNDS kernel with a removal
+//!   budget: it stops as soon as a prefix forces more removals than the
+//!   budget allows ([`lnds_length_with`] is its unbounded case).
 //! * [`count_inversions`] / [`per_element_inversions`] — merge-sort and
 //!   Fenwick-tree inversion counting, the core of the **iterative** baseline
 //!   validator (Algorithm 1).
@@ -30,6 +34,6 @@ pub use inversions::{
     count_inversions, per_element_inversions, per_element_inversions_compressed, Fenwick,
 };
 pub use lnds::{
-    lis_indices, lis_length, lnds_indices, lnds_length, lnds_length_brute, lnds_length_with,
-    Monotonicity,
+    lis_indices, lis_length, lnds_indices, lnds_indices_with, lnds_length, lnds_length_brute,
+    lnds_length_with, lnds_removals_within, Monotonicity,
 };

@@ -7,9 +7,19 @@
 //! removal set (Theorem 3.3).
 //!
 //! The implementation is the classic patience/Fredman tails algorithm
-//! [Fredman '75] with parent pointers so the actual subsequence (as indices)
-//! can be reconstructed, not just its length. The paper's `Ω(m log m)` lower
-//! bound (Theorem 3.4) makes this optimal.
+//! [Fredman '75]. [`lnds_indices`] / [`lis_indices`] keep tails as indices
+//! plus parent pointers so the actual subsequence can be reconstructed.
+//! The length-only kernel ([`lnds_removals_within`], and
+//! [`lnds_length_with`] as its unbounded case) keeps the tail *values*
+//! themselves, so each binary-search step is one load, and appends without
+//! a search when an element extends the longest pile. The paper's
+//! `Ω(m log m)` lower bound (Theorem 3.4) makes this optimal.
+//!
+//! **Budgeted early exit.** After `i + 1` elements the tails array has
+//! length `LNDS(prefix)`, and `LNDS(seq) <= LNDS(prefix) + (m - i - 1)`, so
+//! `i + 1 - tails.len()` removals are already forced. The count only grows,
+//! by one each time an element replaces a tail instead of appending, so
+//! the kernel stops at the first replacement that takes it past the budget.
 
 /// Strictness of the subsequence order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,63 +38,125 @@ pub enum Monotonicity {
 /// caller must only rely on (a) the indices being strictly increasing,
 /// (b) the projected values being non-decreasing, and (c) maximal length.
 pub fn lnds_indices<T: Ord>(seq: &[T]) -> Vec<u32> {
-    subsequence_indices(seq, Monotonicity::NonDecreasing)
+    let mut out = Vec::new();
+    lnds_indices_with(seq, &mut Vec::new(), &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`lnds_indices`] against caller-provided buffers, for loops that need
+/// one witness per class and must not allocate per call: the indices are
+/// written to `out`, and `tails` and `parent` are scratch. All three are
+/// cleared on entry; their capacity is reused across calls.
+pub fn lnds_indices_with<T: Ord>(
+    seq: &[T],
+    tails: &mut Vec<u32>,
+    parent: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+) {
+    subsequence_indices(seq, Monotonicity::NonDecreasing, tails, parent, out);
 }
 
 /// Computes the indices (ascending) of one longest strictly increasing
 /// subsequence of `seq`.
 pub fn lis_indices<T: Ord>(seq: &[T]) -> Vec<u32> {
-    subsequence_indices(seq, Monotonicity::Strict)
+    let mut out = Vec::new();
+    subsequence_indices(
+        seq,
+        Monotonicity::Strict,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut out,
+    );
+    out
 }
 
 /// Length of the longest non-decreasing subsequence, without
 /// reconstructing it (saves the parent-pointer array; used when only the
 /// removal-set *size* matters, e.g. threshold checks).
-pub fn lnds_length<T: Ord>(seq: &[T]) -> usize {
+pub fn lnds_length<T: Ord + Copy>(seq: &[T]) -> usize {
     lnds_length_with(seq, &mut Vec::new())
 }
 
 /// [`lnds_length`] against caller-provided scratch, for hot loops that
 /// compute one LNDS per candidate class and must not allocate per call.
-/// `tails` is cleared on entry; its capacity is reused across calls.
-pub fn lnds_length_with<T: Ord>(seq: &[T], tails: &mut Vec<u32>) -> usize {
-    tails_only(seq, Monotonicity::NonDecreasing, tails)
+/// `tails` is cleared on entry and left holding the smallest tail value of
+/// each pile; its capacity is reused across calls.
+pub fn lnds_length_with<T: Ord + Copy>(seq: &[T], tails: &mut Vec<T>) -> usize {
+    let removed = lnds_removals_within(seq, tails, usize::MAX);
+    seq.len() - removed.expect("an unbounded budget is never exceeded")
+}
+
+/// Minimal number of elements to remove from `seq` so the rest is
+/// non-decreasing (`m - LNDS(seq)`), if that number is at most `budget`.
+///
+/// Returns `Some(r)` exactly when `r <= budget`, and `None` as soon as the
+/// removals forced by a prefix exceed `budget` (see the module docs), so
+/// an over-budget sequence is abandoned without scanning its tail. Scratch
+/// handling is as in [`lnds_length_with`].
+pub fn lnds_removals_within<T: Ord + Copy>(
+    seq: &[T],
+    tails: &mut Vec<T>,
+    budget: usize,
+) -> Option<usize> {
+    tails_within(seq, tails, budget, |tail, v| tail <= v)
 }
 
 /// Length of the longest strictly increasing subsequence.
-pub fn lis_length<T: Ord>(seq: &[T]) -> usize {
-    tails_only(seq, Monotonicity::Strict, &mut Vec::new())
+pub fn lis_length<T: Ord + Copy>(seq: &[T]) -> usize {
+    let removed = tails_within(seq, &mut Vec::new(), usize::MAX, |tail, v| tail < v);
+    seq.len() - removed.expect("an unbounded budget is never exceeded")
 }
 
-/// Patience algorithm computing only the tails array; returns the LIS/LNDS
-/// length.
-fn tails_only<T: Ord>(seq: &[T], mode: Monotonicity, tails: &mut Vec<u32>) -> usize {
-    // tails[k] = index of the smallest possible tail value of a subsequence
-    // of length k+1 seen so far.
+/// The patience loop over tail values shared by the length-only entry
+/// points: `tails[k]` is the smallest tail of a subsequence of length
+/// `k + 1` seen so far, and `extends(tail, v)` says whether `v` may follow
+/// `tail`. Returns the removal count `m - tails.len()`, or `None` once it
+/// exceeds `budget`.
+#[inline]
+fn tails_within<T: Copy>(
+    seq: &[T],
+    tails: &mut Vec<T>,
+    budget: usize,
+    extends: impl Fn(T, T) -> bool,
+) -> Option<usize> {
     tails.clear();
-    for (i, v) in seq.iter().enumerate() {
-        let pos = insertion_point(seq, tails, v, mode);
-        if pos == tails.len() {
-            tails.push(i as u32);
-        } else {
-            tails[pos] = i as u32;
+    let mut removed = 0usize;
+    for &v in seq {
+        match tails.last() {
+            Some(&last) if !extends(last, v) => {
+                // `v` cannot follow the last pile, so it replaces an earlier
+                // tail and the subsequence does not grow: one more removal.
+                let pos = tails.partition_point(|&t| extends(t, v));
+                tails[pos] = v;
+                removed += 1;
+                if removed > budget {
+                    return None;
+                }
+            }
+            _ => tails.push(v),
         }
     }
-    tails.len()
+    Some(removed)
 }
 
-/// Full patience algorithm with parent pointers; returns indices of one
-/// optimal subsequence.
-fn subsequence_indices<T: Ord>(seq: &[T], mode: Monotonicity) -> Vec<u32> {
-    if seq.is_empty() {
-        return Vec::new();
-    }
-    let mut tails: Vec<u32> = Vec::new();
+/// Full patience algorithm with parent pointers; writes the indices of one
+/// optimal subsequence to `out`. Here `tails[k]` is the *index* of the
+/// smallest tail of a subsequence of length `k + 1`.
+fn subsequence_indices<T: Ord>(
+    seq: &[T],
+    mode: Monotonicity,
+    tails: &mut Vec<u32>,
+    parent: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+) {
+    tails.clear();
+    out.clear();
     // parent[i] = index of the predecessor of seq[i] in the best subsequence
     // ending at i, or u32::MAX for none.
-    let mut parent: Vec<u32> = vec![u32::MAX; seq.len()];
+    parent.clear();
+    parent.resize(seq.len(), u32::MAX);
     for (i, v) in seq.iter().enumerate() {
-        let pos = insertion_point(seq, &tails, v, mode);
+        let pos = insertion_point(seq, tails, v, mode);
         if pos > 0 {
             parent[i] = tails[pos - 1];
         }
@@ -94,8 +166,10 @@ fn subsequence_indices<T: Ord>(seq: &[T], mode: Monotonicity) -> Vec<u32> {
             tails[pos] = i as u32;
         }
     }
-    let mut out = Vec::with_capacity(tails.len());
-    let mut cur = *tails.last().expect("non-empty seq has a tail");
+    let Some(&last) = tails.last() else {
+        return;
+    };
+    let mut cur = last;
     loop {
         out.push(cur);
         if parent[cur as usize] == u32::MAX {
@@ -104,7 +178,6 @@ fn subsequence_indices<T: Ord>(seq: &[T], mode: Monotonicity) -> Vec<u32> {
         cur = parent[cur as usize];
     }
     out.reverse();
-    out
 }
 
 /// Binary search for the patience pile `v` lands on.
@@ -222,11 +295,13 @@ mod tests {
     #[test]
     fn brute_force_agreement_small_exhaustive() {
         // Every sequence over {0,1,2} of length <= 7.
+        // One set of buffers for every call: reuse must not leak state.
+        let (mut tails, mut parent, mut fast) = (Vec::new(), Vec::new(), Vec::new());
         for len in 0..=7usize {
             let mut seq = vec![0u32; len];
             loop {
                 for mode in [Monotonicity::NonDecreasing, Monotonicity::Strict] {
-                    let fast = subsequence_indices(&seq, mode);
+                    subsequence_indices(&seq, mode, &mut tails, &mut parent, &mut fast);
                     assert_valid_subsequence(&seq, &fast, mode);
                     assert_eq!(
                         fast.len(),
@@ -252,6 +327,56 @@ mod tests {
                 continue;
             }
         }
+    }
+
+    /// SplitMix64: a seeded generator, so failures reproduce.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn bounded_kernel_matches_brute_force_at_every_budget() {
+        let mut state = 0x5EED_u64;
+        let mut tails = Vec::new();
+        for case in 0..3000 {
+            let len = case % 65;
+            // Small alphabets force many ties; the largest makes them rare.
+            let alphabet = [2u64, 3, 5, 16, 1 << 20][(case / 65) % 5];
+            let seq: Vec<u32> = (0..len)
+                .map(|_| (splitmix(&mut state) % alphabet) as u32)
+                .collect();
+            let r = len - lnds_length_brute(&seq, Monotonicity::NonDecreasing);
+            assert_eq!(lnds_length_with(&seq, &mut tails), len - r, "{seq:?}");
+            assert_eq!(
+                lis_length(&seq),
+                lnds_length_brute(&seq, Monotonicity::Strict)
+            );
+            for budget in 0..=len {
+                assert_eq!(
+                    lnds_removals_within(&seq, &mut tails, budget),
+                    (r <= budget).then_some(r),
+                    "budget {budget} on {seq:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_kernel_stops_before_the_end() {
+        // Strictly decreasing: every element after the first is a forced
+        // removal, so budget 2 is exhausted at the fourth element and the
+        // rest of the sequence is never looked at.
+        let seq = [9u32, 8, 7, 6, 5, 4, 3, 2, 1];
+        let mut tails = Vec::new();
+        assert_eq!(lnds_removals_within(&seq, &mut tails, 2), None);
+        assert_eq!(tails.len(), 1);
+        assert_eq!(tails, vec![6]);
+        assert_eq!(lnds_removals_within(&seq, &mut tails, 8), Some(8));
+        assert_eq!(lnds_removals_within::<u32>(&[], &mut tails, 0), Some(0));
     }
 
     #[test]

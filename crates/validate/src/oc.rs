@@ -1,9 +1,15 @@
 //! Order-compatibility validators: exact, optimal (Algorithm 2) and
 //! iterative (Algorithm 1).
 //!
-//! All three share the same per-class pipeline — gather the context class's
-//! `(rank_A, rank_B)` pairs, sort by `[A ASC, B ASC]` — and differ in what
-//! they do with the sorted `B` projection:
+//! All three share the same per-class pipeline and differ in what they do
+//! with its output, the sorted `B` projection:
+//!
+//! 1. **gather** — pack each row of the context class into one `u64` key,
+//!    `rank_A` in the high half ([`crate::pack_asc`]);
+//! 2. **sort** — by `[A ASC, B ASC]`, which is plain `u64` order
+//!    (`sort_unstable`). When the removal *set* is wanted, a row
+//!    permutation is sorted instead, so row ids follow their keys;
+//! 3. **project** the `B` half into a `u32` buffer, and then:
 //!
 //! * **exact** — scan: the OC holds iff the projection is non-decreasing;
 //! * **optimal** — LNDS: the complement of a longest non-decreasing
@@ -11,11 +17,18 @@
 //! * **iterative** — the PVLDB'17 baseline: repeatedly drop a tuple with the
 //!   most swaps, `O(m log m + ε m²)`, *not* minimal (Example 3.1).
 //!
+//! **In-class bound.** Classes are independent, so the optimal count is a
+//! sum over classes. Each class gets the budget the earlier ones left,
+//! and its LNDS ([`aod_lis::lnds_removals_within`]) stops as soon as a
+//! prefix of the class forces more removals than that: the removals of a
+//! prefix never exceed those of the whole class. An over-budget candidate
+//! is rejected mid-class, and an in-budget one gets the exact count.
+//!
 //! The same machinery with a descending `B` tie-break validates canonical
 //! ODs `X: A |-> B` (Section 3.3) — see [`PairMode::OdDescB`].
 
 use crate::swap::{is_swap, pack_asc, pack_desc_b, unpack_a, unpack_b_asc, unpack_b_desc};
-use aod_lis::{lnds_indices, lnds_length_with, per_element_inversions_compressed};
+use aod_lis::{lnds_indices_with, lnds_removals_within, per_element_inversions_compressed};
 use aod_partition::Partition;
 
 /// How `(A, B)` pairs are ordered before the projection step.
@@ -53,9 +66,16 @@ impl PairMode {
 #[derive(Debug, Default)]
 pub struct OcValidator {
     keys: Vec<u64>,
+    /// Row-tracking scratch: the sorted permutation and the keys in its
+    /// order, swapped into `keys` once built.
+    perm: Vec<u32>,
+    sorted: Vec<u64>,
     rows: Vec<u32>,
     bbuf: Vec<u32>,
     tails: Vec<u32>,
+    /// Removal-set scratch: LNDS parent pointers and the kept positions.
+    parent: Vec<u32>,
+    keep: Vec<u32>,
 }
 
 impl OcValidator {
@@ -83,13 +103,17 @@ impl OcValidator {
         );
         if track_rows {
             // Sort an index permutation so row ids follow their keys.
-            let mut perm: Vec<u32> = (0..class.len() as u32).collect();
-            perm.sort_unstable_by_key(|&i| self.keys[i as usize]);
+            let keys = &self.keys;
+            self.perm.clear();
+            self.perm.extend(0..class.len() as u32);
+            self.perm.sort_unstable_by_key(|&i| keys[i as usize]);
             self.rows.clear();
-            self.rows.extend(perm.iter().map(|&i| class[i as usize]));
-            let keys = std::mem::take(&mut self.keys);
-            let mut sorted: Vec<u64> = perm.iter().map(|&i| keys[i as usize]).collect();
-            std::mem::swap(&mut self.keys, &mut sorted);
+            self.rows
+                .extend(self.perm.iter().map(|&i| class[i as usize]));
+            self.sorted.clear();
+            self.sorted
+                .extend(self.perm.iter().map(|&i| keys[i as usize]));
+            std::mem::swap(&mut self.keys, &mut self.sorted);
         } else {
             self.keys.sort_unstable();
         }
@@ -164,10 +188,9 @@ impl OcValidator {
         for class in ctx.classes() {
             self.gather_class(class, a_ranks, b_ranks, mode, false);
             // Disjoint field borrows: the LNDS reads `bbuf`, reuses `tails`.
-            removed += class.len() - lnds_length_with(&self.bbuf, &mut self.tails);
-            if removed > limit {
-                return None;
-            }
+            // `removed <= limit` holds here, and the class may use the rest
+            // of the budget; the kernel stops as soon as it cannot.
+            removed += lnds_removals_within(&self.bbuf, &mut self.tails, limit - removed)?;
         }
         Some(removed)
     }
@@ -203,8 +226,13 @@ impl OcValidator {
         let mut removal = Vec::new();
         for class in ctx.classes() {
             self.gather_class(class, a_ranks, b_ranks, mode, true);
-            let keep = lnds_indices(&self.bbuf);
-            let mut keep_iter = keep.iter().peekable();
+            lnds_indices_with(
+                &self.bbuf,
+                &mut self.tails,
+                &mut self.parent,
+                &mut self.keep,
+            );
+            let mut keep_iter = self.keep.iter().peekable();
             for (i, &row) in self.rows.iter().enumerate() {
                 match keep_iter.peek() {
                     Some(&&k) if k as usize == i => {
@@ -314,8 +342,10 @@ impl OcValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute::{brute_min_removal_oc, brute_min_removal_od};
     use aod_partition::Partition;
     use aod_table::{employee_table, RankedTable};
+    use proptest::prelude::*;
 
     fn employee() -> RankedTable {
         RankedTable::from_table(&employee_table())
@@ -398,6 +428,57 @@ mod tests {
             v.min_removal_optimal(&unit_ctx(9), ranks(&t, SAL), ranks(&t, TAX), 4),
             Some(4)
         );
+    }
+
+    /// Every budget from 0 to `n` on one instance: the bounded Algorithm 2
+    /// must answer exactly `(r <= limit).then_some(r)` for the oracle's `r`.
+    fn check_every_limit(ctx: &Partition, a: &[u32], b: &[u32]) {
+        let n = ctx.n_rows();
+        let r_oc = brute_min_removal_oc(ctx, a, b);
+        let r_od = brute_min_removal_od(ctx, a, b);
+        let mut v = OcValidator::new();
+        for limit in 0..=n {
+            assert_eq!(
+                v.min_removal_optimal(ctx, a, b, limit),
+                (r_oc <= limit).then_some(r_oc),
+                "OC, limit {limit}, a {a:?}, b {b:?}"
+            );
+            assert_eq!(
+                v.min_removal_od(ctx, a, b, limit),
+                (r_od <= limit).then_some(r_od),
+                "OD, limit {limit}, a {a:?}, b {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn early_exit_never_flips_a_verdict_on_table_1() {
+        let t = employee();
+        let contexts = [unit_ctx(9), Partition::from_ranked_column(t.column(POS))];
+        for ctx in &contexts {
+            for a in 0..t.n_cols() {
+                for b in 0..t.n_cols() {
+                    check_every_limit(ctx, ranks(&t, a), ranks(&t, b));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Up to 4 context values over at most 20 rows: most contexts split
+        /// into several classes, each within the oracle's cap.
+        #[test]
+        fn early_exit_never_flips_a_verdict_on_random_tables(
+            (a, b, ctx_vals) in (1usize..21).prop_flat_map(|n| (
+                proptest::collection::vec(0u32..8, n),
+                proptest::collection::vec(0u32..8, n),
+                proptest::collection::vec(0u32..4, n),
+            ))
+        ) {
+            check_every_limit(&Partition::from_ranks(&ctx_vals, 4), &a, &b);
+        }
     }
 
     #[test]
