@@ -431,6 +431,7 @@ impl<'t> DiscoverySession<'t> {
                 } else {
                     let trace_part_t0 = self.trace.as_ref().map(|t| t.now_us());
                     self.frontier.advance(
+                        self.table,
                         &self.config.prune,
                         &self.prune,
                         self.scope,

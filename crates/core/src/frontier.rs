@@ -5,16 +5,17 @@
 //! with its TANE RHS-candidate set `Cc⁺(X)`. Advancing it (a) drops *dead*
 //! nodes (see [`PruneState::node_is_dead`]), (b) prefix-joins the
 //! survivors into level `ℓ+1`, (c) intersects the parents' `Cc⁺` sets, and
-//! (d) computes each child's partition as the product of two cached
-//! parents — exactly the retention/generation tail of the paper's Figure 1
-//! driver, factored out of the per-level candidate validation.
+//! (d) computes each child's partition by refining its cached parent
+//! `parent_b` by the one column `parent_b` lacks — exactly the
+//! retention/generation tail of the paper's Figure 1 driver, factored out
+//! of the per-level candidate validation.
 
 use crate::config::PruneConfig;
 use crate::prune_state::PruneState;
 use crate::stats::DiscoveryStats;
 use aod_exec::Executor;
 use aod_partition::{
-    prefix_join, AttrSet, AttrSetMap, JoinedChild, Partition, PartitionCache, ProductScratch,
+    prefix_join, AttrSet, AttrSetMap, JoinedChild, Partition, PartitionCache, RefineScratch,
 };
 use aod_table::RankedTable;
 use std::time::Instant;
@@ -64,17 +65,20 @@ impl Frontier {
     }
 
     /// Replaces the frontier with the next lattice level: retention (node
-    /// deletion), prefix join, `Cc⁺` intersection and partition products.
+    /// deletion), prefix join, `Cc⁺` intersection and partition products
+    /// (each a refinement of one cached parent by one column of `table`).
     /// Evicts cached partitions below level `ℓ−1` afterwards so peak
     /// memory stays at two lattice levels.
     ///
     /// With an executor, the partition products — the `partitioning`
     /// phase of the stats breakdown — are computed in parallel against a
-    /// frozen cache view with per-worker [`ProductScratch`], and merged
+    /// frozen cache view with per-worker [`RefineScratch`], and merged
     /// back in deterministic child order; the resulting cache contents and
     /// product counts are identical to the sequential path.
+    #[allow(clippy::too_many_arguments)]
     pub fn advance(
         &mut self,
+        table: &RankedTable,
         prune_cfg: &PruneConfig,
         prune: &PruneState,
         scope: AttrSet,
@@ -121,18 +125,16 @@ impl Frontier {
         match executor {
             Some(exec) if joins.len() > 1 => {
                 let view = cache.freeze();
-                let scratches: Vec<ProductScratch> = (0..exec.threads())
-                    .map(|_| ProductScratch::default())
+                let scratches: Vec<RefineScratch> = (0..exec.threads())
+                    .map(|_| RefineScratch::default())
                     .collect();
                 let products =
                     exec.par_map_with_state(scratches, &joins, |scratch, _i, (join, _rhs)| {
-                        let l = view
-                            .get(join.parent_a)
-                            .expect("parent partition is in the frozen view");
-                        let r = view
+                        let parent = view
                             .get(join.parent_b)
                             .expect("parent partition is in the frozen view");
-                        l.product_with_scratch(r, scratch)
+                        let col = table.column(join.added_attr());
+                        parent.refine_with_scratch(col.ranks(), col.n_distinct(), scratch)
                     });
                 drop(view);
                 for ((join, rhs), product) in joins.into_iter().zip(products) {
@@ -145,7 +147,7 @@ impl Frontier {
             }
             _ => {
                 for (join, rhs) in joins {
-                    cache.product_into(join.parent_a, join.parent_b);
+                    cache.product_into(table, join.parent_a, join.parent_b);
                     next.push(Node {
                         set: join.child,
                         rhs,
@@ -190,6 +192,7 @@ mod tests {
         let prune = PruneState::new(t.n_cols(), t.n_rows());
         let mut stats = DiscoveryStats::default();
         f.advance(
+            &t,
             &PruneConfig::default(),
             &prune,
             scope,
@@ -218,6 +221,7 @@ mod tests {
         let mut stats = DiscoveryStats::default();
         for _ in 0..3 {
             seq.advance(
+                &t,
                 &PruneConfig::default(),
                 &prune,
                 scope,
@@ -226,6 +230,7 @@ mod tests {
                 None,
             );
             par.advance(
+                &t,
                 &PruneConfig::default(),
                 &prune,
                 scope,
@@ -248,6 +253,76 @@ mod tests {
             assert_eq!(p_sets, s_sets);
             for &set in &s_sets {
                 assert_eq!(par_cache.get(set), seq_cache.get(set), "{set}");
+            }
+        }
+    }
+
+    /// A seeded `n_rows × n_cols` table of small-cardinality columns
+    /// (3–8 distinct values each), so partitions keep classes of many
+    /// sizes for several levels.
+    fn seeded_table(n_rows: usize, n_cols: usize, seed: u64) -> RankedTable {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let cols = (0..n_cols)
+            .map(|c| {
+                let card = 3 + c as u64 % 6;
+                (0..n_rows).map(|_| (next() % card) as u32).collect()
+            })
+            .collect();
+        RankedTable::from_u32_columns(cols)
+    }
+
+    /// A partition's classes as sorted row lists, in sorted order.
+    fn normalize(p: &Partition) -> Vec<Vec<u32>> {
+        let mut classes: Vec<Vec<u32>> = p.classes().map(<[u32]>::to_vec).collect();
+        classes.sort_unstable();
+        classes
+    }
+
+    #[test]
+    fn cached_partitions_match_for_attrs() {
+        let tables = [
+            RankedTable::from_table(&employee_table()),
+            seeded_table(200, 7, 0x5eed),
+        ];
+        for t in &tables {
+            let scope = AttrSet::full(t.n_cols());
+            let prune = PruneState::new(t.n_cols(), t.n_rows());
+            // The sequential path, then the executor path at 1 and 4 threads.
+            for exec in [None, Some(Executor::new(1)), Some(Executor::new(4))] {
+                let threads = exec.as_ref().map_or(0, Executor::threads);
+                let mut cache = PartitionCache::new();
+                let mut f = Frontier::seed(t, scope, &mut cache);
+                let mut stats = DiscoveryStats::default();
+                for _ in 0..4 {
+                    f.advance(
+                        t,
+                        &PruneConfig::default(),
+                        &prune,
+                        scope,
+                        &mut cache,
+                        &mut stats,
+                        exec.as_ref(),
+                    );
+                    assert!(!f.is_empty(), "level {} is empty", f.level);
+                    for set in cache.cached_sets() {
+                        let cached = cache.get(set).expect("listed set is cached");
+                        let direct = Partition::for_attrs(t, set.iter());
+                        assert_eq!(
+                            normalize(cached),
+                            normalize(&direct),
+                            "{set} with {threads} executor threads"
+                        );
+                    }
+                }
+                assert_eq!(f.level, 5);
             }
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! The level-wise discovery driver needs, while processing lattice level `ℓ`:
 //!
-//! * `Π_X` for each level-`ℓ` node `X` (built as the product of two cached
-//!   level-`ℓ−1` parents),
+//! * `Π_X` for each level-`ℓ` node `X` (built by refining one cached
+//!   level-`ℓ−1` parent by the column it lacks),
 //! * `Π_{X\{A,B}}` (level `ℓ−2`) as the *context* partition for OC
 //!   candidates at node `X`.
 //!
@@ -21,7 +21,7 @@
 //!   Send + Sync` read view that worker threads probe lock-free while the
 //!   level runs;
 //! * a **pending** map — everything written since the last freeze (the
-//!   next level's products, merged back from per-worker shards at the
+//!   next level's partitions, merged back from per-worker shards at the
 //!   level barrier via [`PartitionCache::insert_product`]).
 //!
 //! Single-threaded callers never notice the split: [`PartitionCache::get`]
@@ -29,7 +29,7 @@
 //! the pending side exactly as before.
 
 use crate::attrset::{AttrSet, AttrSetMap};
-use crate::stripped::{Partition, ProductScratch};
+use crate::stripped::{Partition, RefineScratch};
 use aod_table::RankedTable;
 use std::sync::Arc;
 
@@ -41,8 +41,9 @@ pub struct PartitionCache {
     /// Writes since the last [`freeze`](PartitionCache::freeze). Invariant:
     /// disjoint from `frozen`'s keys.
     pending: AttrSetMap<Partition>,
-    scratch: ProductScratch,
-    /// Statistics: product operations performed (for experiment reporting).
+    scratch: RefineScratch,
+    /// Statistics: partitions built from a parent (for experiment
+    /// reporting; still called products after TANE's operation).
     n_products: u64,
 }
 
@@ -62,7 +63,7 @@ impl PartitionCache {
         self.frozen.is_empty() && self.pending.is_empty()
     }
 
-    /// Number of partition products computed so far.
+    /// Number of partitions built from a cached parent so far.
     pub fn n_products(&self) -> u64 {
         self.n_products
     }
@@ -88,8 +89,8 @@ impl PartitionCache {
 
     /// Inserts one product computed by a parallel worker, counting it in
     /// [`n_products`](PartitionCache::n_products). This is the merge half
-    /// of the freeze/merge protocol: workers compute products against a
-    /// [`FrozenPartitions`] view with private [`ProductScratch`], and the
+    /// of the freeze/merge protocol: workers refine parents from a
+    /// [`FrozenPartitions`] view with private [`RefineScratch`], and the
     /// driver merges the shards through this method at the level barrier
     /// (in deterministic node order, though the cache itself is
     /// order-insensitive).
@@ -119,21 +120,20 @@ impl PartitionCache {
         }
     }
 
-    /// Computes (and caches) the product of two cached sets.
+    /// Computes (and caches) `Π_{lhs ∪ rhs}`, the product of two lattice
+    /// parents, by refining the cached `Π_rhs` by the one column of `lhs`
+    /// that `rhs` lacks. `Π_lhs` itself is not read.
     ///
     /// # Panics
-    /// If either operand is missing from the cache — the level-wise driver
-    /// guarantees parents are present before children are built.
-    pub fn product_into(&mut self, lhs: AttrSet, rhs: AttrSet) -> &Partition {
+    /// If `rhs` is missing from the cache — the level-wise driver
+    /// guarantees parents are present before children are built — or
+    /// `lhs` adds more than one column to `rhs`.
+    pub fn product_into(&mut self, table: &RankedTable, lhs: AttrSet, rhs: AttrSet) -> &Partition {
         let target = lhs.union(rhs);
         if !self.contains(target) {
-            self.n_products += 1;
-            // Field-level lookups keep the immutable map borrows disjoint
-            // from the `&mut self.scratch` borrow below.
-            let lookup = |set: AttrSet| self.pending.get(&set).or_else(|| self.frozen.get(&set));
-            let l = lookup(lhs).expect("lhs partition must be cached");
-            let r = lookup(rhs).expect("rhs partition must be cached");
-            let p = l.product_with_scratch(r, &mut self.scratch);
+            let added = lhs.difference(rhs);
+            assert_eq!(added.len(), 1, "lhs must add exactly one column to rhs");
+            let p = self.refine(table, rhs, added.first().expect("one column"));
             self.pending.insert(target, p);
         }
         self.get(target).expect("just ensured")
@@ -157,24 +157,29 @@ impl PartitionCache {
             _ => {
                 let a = set.first().expect("non-empty");
                 let rest = set.without(a);
-                // Recurse on the smaller pieces first (each is cached).
+                // Build (and cache) the parent first, then refine it by `a`.
                 if !self.contains(rest) {
                     let p = self.build(table, rest);
                     self.pending.insert(rest, p);
                 }
-                let single = AttrSet::singleton(a);
-                if !self.contains(single) {
-                    let p = Partition::from_ranked_column(table.column(a));
-                    self.pending.insert(single, p);
-                }
-                self.n_products += 1;
-                let lookup =
-                    |set: AttrSet| self.pending.get(&set).or_else(|| self.frozen.get(&set));
-                let l = lookup(rest).expect("just built");
-                let r = lookup(single).expect("just built");
-                l.product_with_scratch(r, &mut self.scratch)
+                self.refine(table, rest, a)
             }
         }
+    }
+
+    /// `Π_parent` (which must be cached) refined by column `attr`,
+    /// counted as one product.
+    fn refine(&mut self, table: &RankedTable, parent: AttrSet, attr: usize) -> Partition {
+        self.n_products += 1;
+        // Field-level lookups keep the immutable map borrows disjoint
+        // from the `&mut self.scratch` borrow below.
+        let p = self
+            .pending
+            .get(&parent)
+            .or_else(|| self.frozen.get(&parent))
+            .expect("parent partition must be cached");
+        let col = table.column(attr);
+        p.refine_with_scratch(col.ranks(), col.n_distinct(), &mut self.scratch)
     }
 
     /// Drops all cached partitions of level `< min_level`.
@@ -266,9 +271,12 @@ mod tests {
         let direct = Partition::for_attrs(&r, [0, 1, 3]);
         assert_eq!(p.n_classes(), direct.n_classes());
         assert_eq!(p.n_grouped_rows(), direct.n_grouped_rows());
+        // The build refines {3} by 1, then {1,3} by 0 — the same chain as
+        // `for_attrs` over [3, 1, 0], so even the class order agrees.
+        assert_eq!(p, Partition::for_attrs(&r, [3, 1, 0]));
         // Intermediate results are cached too.
         assert!(cache.get(AttrSet::from_attrs([1, 3])).is_some());
-        assert!(cache.get(AttrSet::singleton(0)).is_some());
+        assert!(cache.get(AttrSet::singleton(3)).is_some());
     }
 
     #[test]
@@ -278,12 +286,13 @@ mod tests {
         cache.ensure(&r, AttrSet::singleton(0));
         cache.ensure(&r, AttrSet::singleton(3));
         let before = cache.n_products();
-        cache.product_into(AttrSet::singleton(0), AttrSet::singleton(3));
+        cache.product_into(&r, AttrSet::singleton(0), AttrSet::singleton(3));
         assert_eq!(cache.n_products(), before + 1);
         // second call is a cache hit
-        cache.product_into(AttrSet::singleton(0), AttrSet::singleton(3));
+        cache.product_into(&r, AttrSet::singleton(0), AttrSet::singleton(3));
         assert_eq!(cache.n_products(), before + 1);
-        assert!(cache.get(AttrSet::from_attrs([0, 3])).is_some());
+        let direct = Partition::for_attrs(&r, [3, 0]);
+        assert_eq!(cache.get(AttrSet::from_attrs([0, 3])), Some(&direct));
     }
 
     #[test]
@@ -381,8 +390,9 @@ mod tests {
         let r = ranked();
         let mut cache = PartitionCache::new();
         let a = Partition::from_ranked_column(r.column(0));
-        let b = Partition::from_ranked_column(r.column(3));
-        let prod = a.product(&b);
+        let col = r.column(3);
+        let prod =
+            a.refine_with_scratch(col.ranks(), col.n_distinct(), &mut RefineScratch::default());
         let set = AttrSet::from_attrs([0, 3]);
         cache.insert_product(set, prod.clone());
         assert_eq!(cache.n_products(), 1);

@@ -16,17 +16,29 @@ fn highest(set: AttrSet) -> usize {
     63 - set.bits().leading_zeros() as usize
 }
 
-/// A generated child node together with the two prefix-block parents whose
-/// partition product yields the child's partition.
+/// A generated child node together with its two prefix-block parents. The
+/// child's partition is `parent_b`'s refined by the one column
+/// ([`JoinedChild::added_attr`]) that `parent_b` lacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinedChild {
     /// The new level-`ℓ+1` attribute set.
     pub child: AttrSet,
-    /// First parent (`child` minus its highest attribute... one of the two
-    /// block members).
+    /// First parent: `child` minus its highest attribute.
     pub parent_a: AttrSet,
-    /// Second parent.
+    /// Second parent: `child` minus its second-highest attribute — the
+    /// one whose partition is refined.
     pub parent_b: AttrSet,
+}
+
+impl JoinedChild {
+    /// The column `child ∖ parent_b` (the highest column of `parent_a`),
+    /// by which `Π_{parent_b}` is refined into `Π_child`.
+    pub fn added_attr(&self) -> usize {
+        self.child
+            .difference(self.parent_b)
+            .first()
+            .expect("parents differ in one column")
+    }
 }
 
 /// Joins retained level-`ℓ` nodes into level-`ℓ+1` candidates.
@@ -93,6 +105,8 @@ mod tests {
             assert_eq!(j.parent_a.union(j.parent_b), j.child);
             assert_eq!(j.parent_a.len(), j.child.len() - 1);
             assert_eq!(j.parent_b.len(), j.child.len() - 1);
+            assert_eq!(j.parent_b.with(j.added_attr()), j.child);
+            assert!(j.parent_a.contains(j.added_attr()));
         }
     }
 

@@ -5,7 +5,8 @@
 //!
 //! * [`AttrSet`] — attribute sets as `u64` bitsets (lattice nodes/contexts).
 //! * [`Partition`] — TANE-style *stripped* partitions in a flat CSR layout,
-//!   with linear products and FD/key error measures.
+//!   built by refining a parent partition by one column (linear in the
+//!   parent's grouped rows), with FD/key error measures.
 //! * [`PartitionCache`] — level-aware cache with eviction so discovery holds
 //!   at most two lattice levels of partitions in memory.
 //!
@@ -34,4 +35,4 @@ pub use attrset::{
 };
 pub use cache::{FrozenPartitions, PartitionCache};
 pub use lattice::{prefix_join, JoinedChild};
-pub use stripped::{Partition, ProductScratch};
+pub use stripped::{Partition, RefineScratch};

@@ -10,13 +10,19 @@
 //! (offsets), i.e. a CSR-style layout — single allocation, cache-friendly
 //! scans, no per-class `Vec`.
 //!
+//! Construction: a partition of `k ≥ 2` attributes is one parent of `k−1`
+//! attributes refined by the column it lacks
+//! ([`Partition::refine_with_scratch`]), splitting each parent class by
+//! that column's ranks. The result equals, class order included, TANE's
+//! two-parent stripped product `Π_Y · Π_X` with this parent as `Π_X`
+//! (which also orders by `Π_X`'s classes, then by first row), but reads
+//! one rank per grouped row instead of probing a row→class table filled
+//! from the other parent.
+//!
 //! Invariant: row ids within each class are in ascending order (constructors
-//! and [`Partition::product`] preserve this).
+//! and [`Partition::refine_with_scratch`] preserve this).
 
 use aod_table::{RankedColumn, RankedTable};
-
-/// Sentinel for "row not in any stripped class" in probe tables.
-const NONE: u32 = u32::MAX;
 
 /// A stripped partition of a relation's rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,11 +40,10 @@ impl Partition {
     /// (stripped away when the relation has fewer than two rows).
     ///
     /// # Panics
-    /// If `n_rows` exceeds [`aod_table::MAX_ROWS`] — row ids are `u32`
-    /// (with `u32::MAX` reserved as the probe sentinel), so a larger
-    /// relation would silently wrap ids. Table construction rejects such
-    /// inputs with an error first; this guard is defence in depth for
-    /// direct partition construction.
+    /// If `n_rows` exceeds [`aod_table::MAX_ROWS`] — row ids are `u32`,
+    /// so a larger relation would silently wrap ids. Table construction
+    /// rejects such inputs with an error first; this guard is defence in
+    /// depth for direct partition construction.
     pub fn unit(n_rows: usize) -> Partition {
         assert!(
             aod_table::check_row_count(n_rows).is_ok(),
@@ -109,19 +114,20 @@ impl Partition {
         }
     }
 
-    /// Builds `Π_X` for an arbitrary attribute set by folding products over
-    /// the member columns. Convenience for tests and one-off validation;
-    /// the discovery driver uses cached level-wise products instead.
+    /// Builds `Π_X` for an arbitrary attribute set by refining the first
+    /// member column's partition by each further member in turn.
+    /// Convenience for tests and one-off validation; the discovery driver
+    /// refines cached level-wise parents instead.
     pub fn for_attrs<I: IntoIterator<Item = usize>>(table: &RankedTable, attrs: I) -> Partition {
         let mut it = attrs.into_iter();
         let mut part = match it.next() {
             None => Partition::unit(table.n_rows()),
             Some(a) => Partition::from_ranked_column(table.column(a)),
         };
-        let mut scratch = ProductScratch::default();
+        let mut scratch = RefineScratch::default();
         for a in it {
-            let single = Partition::from_ranked_column(table.column(a));
-            part = part.product_with_scratch(&single, &mut scratch);
+            let col = table.column(a);
+            part = part.refine_with_scratch(col.ranks(), col.n_distinct(), &mut scratch);
         }
         part
     }
@@ -245,52 +251,161 @@ impl Partition {
         self.fd_removal_count(rhs_ranks, rhs_n_distinct) == 0
     }
 
-    /// The stripped product `Π_X · Π_Y = Π_{X ∪ Y}` (allocating a fresh
-    /// scratch; prefer [`Partition::product_with_scratch`] in loops).
-    pub fn product(&self, other: &Partition) -> Partition {
-        self.product_with_scratch(other, &mut ProductScratch::default())
-    }
-
-    /// The stripped product using caller-provided scratch space.
+    /// Refines this partition `Π_X` by one column `A` (rank-encoded as
+    /// `ranks`, values in `0..n_distinct`), giving `Π_{X ∪ {A}}`.
     ///
-    /// Linear in the grouped rows of both inputs (the classic TANE
-    /// `STRIPPED_PRODUCT`): probe rows of `self` into a row→class table,
-    /// split each class of `other` by it, keep sub-groups of size ≥ 2.
-    pub fn product_with_scratch(
+    /// Two rows of one class of `Π_X` share a class of `Π_{X ∪ {A}}` iff
+    /// they agree on `A`, so each class splits independently: a counting
+    /// pass over the class's `A` ranks, then a placement pass that gives
+    /// each sub-group of ≥ 2 rows a slot in order of its first row
+    /// (singletons are stripped). A 2-row class is decided by one rank
+    /// comparison. Classes come out in `self`'s class order and, within
+    /// a class, by first row; row ids stay ascending.
+    ///
+    /// `O(grouped rows of self)` plus scratch growth; the result's buffers
+    /// are copied out at their exact size.
+    ///
+    /// # Panics
+    /// If `ranks` does not cover exactly `self`'s relation, or a rank is
+    /// not below `n_distinct`.
+    pub fn refine_with_scratch(
         &self,
-        other: &Partition,
-        scratch: &mut ProductScratch,
+        ranks: &[u32],
+        n_distinct: u32,
+        scratch: &mut RefineScratch,
     ) -> Partition {
         assert_eq!(
-            self.n_rows, other.n_rows,
-            "partitions over different relations"
+            ranks.len(),
+            self.n_rows,
+            "column and partition over different relations"
         );
-        scratch.prepare(self.n_rows, self.n_classes());
+        scratch.prepare(self.elems.len(), n_distinct as usize);
+        let RefineScratch {
+            tally,
+            vals,
+            elems,
+            bounds,
+        } = scratch;
 
-        for (ci, class) in self.classes().enumerate() {
-            for &t in class {
-                scratch.probe[t as usize] = ci as u32;
+        let mut len = 0usize;
+        for class in self.classes() {
+            if let [r0, r1] = *class {
+                if ranks[r0 as usize] == ranks[r1 as usize] {
+                    elems[len] = r0;
+                    elems[len + 1] = r1;
+                    len += 2;
+                    bounds.push(len as u32);
+                }
+                continue;
+            }
+            vals.clear();
+            for &row in class {
+                let v = ranks[row as usize];
+                vals.push(v);
+                tally[v as usize][0] += 1;
+            }
+            // `tally[v] = [count, next slot]`. A group's first row turns
+            // its count into a reserved run of slots and zeroes the
+            // count, so a zero count marks a placed group and every count
+            // is zero again once the class is done.
+            for (&row, &v) in class.iter().zip(vals.iter()) {
+                let t = &mut tally[v as usize];
+                match t[0] {
+                    0 => {
+                        elems[t[1] as usize] = row;
+                        t[1] += 1;
+                    }
+                    1 => t[0] = 0,
+                    count => {
+                        elems[len] = row;
+                        t[1] = len as u32 + 1;
+                        t[0] = 0;
+                        len += count as usize;
+                        bounds.push(len as u32);
+                    }
+                }
             }
         }
 
-        // These two become the returned partition's backing storage — they
-        // are the *output*, not reusable scratch, so hoisting them onto
-        // `ProductScratch` would just force a copy-out on return.
-        // aod-lint: allow(A1) -- output buffers move into the returned Partition
-        let mut elems = Vec::new();
-        // aod-lint: allow(A1) -- output buffers move into the returned Partition
-        let mut bounds = vec![0u32];
-        for class in other.classes() {
+        Partition {
+            // aod-lint: allow(A1) -- exact-size copy-out of the result; the scratch keeps its capacity
+            elems: elems[..len].to_vec(),
+            // aod-lint: allow(A1) -- exact-size copy-out of the result; the scratch keeps its capacity
+            bounds: bounds.to_vec(),
+            n_rows: self.n_rows,
+        }
+    }
+}
+
+/// Reusable scratch space for [`Partition::refine_with_scratch`].
+///
+/// Holding one of these across a discovery level avoids reallocating the
+/// per-rank tallies and the `O(n)` output buffer per refinement (the
+/// perf-book "workhorse collection" pattern). Every tally is zero between
+/// calls.
+#[derive(Debug, Default)]
+pub struct RefineScratch {
+    /// Per rank of the refining column: `[count, next output slot]`.
+    tally: Vec<[u32; 2]>,
+    /// The refining column's ranks of the current class, in row order.
+    vals: Vec<u32>,
+    /// Output rows; the result copies out its used prefix.
+    elems: Vec<u32>,
+    /// Output class bounds.
+    bounds: Vec<u32>,
+}
+
+impl RefineScratch {
+    fn prepare(&mut self, max_rows: usize, n_distinct: usize) {
+        if self.tally.len() < n_distinct {
+            self.tally.resize(n_distinct, [0, 0]);
+        }
+        if self.elems.len() < max_rows {
+            self.elems.resize(max_rows, 0);
+        }
+        self.bounds.clear();
+        self.bounds.push(0);
+        debug_assert!(self.tally.iter().all(|t| t[0] == 0), "tally not reset");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aod_table::{employee_table, RankedTable};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+
+    fn employee_ranked() -> RankedTable {
+        RankedTable::from_table(&employee_table())
+    }
+
+    /// The two-parent TANE stripped product `Π_X · Π_Y` that
+    /// [`Partition::refine_with_scratch`] replaced, kept as the reference
+    /// the refinement must reproduce exactly: probe `x`'s rows into a
+    /// row→class table, split each class of `y` by it, keep sub-groups of
+    /// size ≥ 2 in order of their first row.
+    fn reference_product(x: &Partition, y: &Partition) -> Partition {
+        const NONE: u32 = u32::MAX;
+        assert_eq!(x.n_rows, y.n_rows);
+        let mut probe = vec![NONE; x.n_rows];
+        for (ci, class) in x.classes().enumerate() {
             for &t in class {
-                let ci = scratch.probe[t as usize];
-                if ci != NONE {
-                    scratch.groups[ci as usize].push(t);
+                probe[t as usize] = ci as u32;
+            }
+        }
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); x.n_classes()];
+        let mut elems = Vec::new();
+        let mut bounds = vec![0u32];
+        for class in y.classes() {
+            for &t in class {
+                if probe[t as usize] != NONE {
+                    groups[probe[t as usize] as usize].push(t);
                 }
             }
             for &t in class {
-                let ci = scratch.probe[t as usize];
-                if ci != NONE {
-                    let group = &mut scratch.groups[ci as usize];
+                if probe[t as usize] != NONE {
+                    let group = &mut groups[probe[t as usize] as usize];
                     if group.len() >= 2 {
                         elems.extend_from_slice(group);
                         bounds.push(elems.len() as u32);
@@ -299,52 +414,17 @@ impl Partition {
                 }
             }
         }
-
-        for class in self.classes() {
-            for &t in class {
-                scratch.probe[t as usize] = NONE;
-            }
-        }
-
         Partition {
             elems,
             bounds,
-            n_rows: self.n_rows,
+            n_rows: x.n_rows,
         }
     }
-}
 
-/// Reusable scratch space for [`Partition::product_with_scratch`].
-///
-/// Holding one of these across a discovery level avoids reallocating the
-/// `O(n)` probe table per product (the perf-book "workhorse collection"
-/// pattern).
-#[derive(Debug, Default)]
-pub struct ProductScratch {
-    probe: Vec<u32>,
-    groups: Vec<Vec<u32>>,
-}
-
-impl ProductScratch {
-    fn prepare(&mut self, n_rows: usize, n_classes: usize) {
-        if self.probe.len() < n_rows {
-            self.probe.resize(n_rows, NONE);
-        }
-        if self.groups.len() < n_classes {
-            self.groups.resize_with(n_classes, Vec::new);
-        }
-        debug_assert!(self.probe.iter().all(|&p| p == NONE), "probe not reset");
-        debug_assert!(self.groups.iter().all(Vec::is_empty), "groups not reset");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aod_table::{employee_table, RankedTable};
-
-    fn employee_ranked() -> RankedTable {
-        RankedTable::from_table(&employee_table())
+    /// `part` refined by column `a` of `table`.
+    fn refine(part: &Partition, table: &RankedTable, a: usize, s: &mut RefineScratch) -> Partition {
+        let col = table.column(a);
+        part.refine_with_scratch(col.ranks(), col.n_distinct(), s)
     }
 
     /// Reference partition via sorting whole projections.
@@ -426,19 +506,32 @@ mod tests {
 
     #[test]
     fn product_is_commutative() {
+        // Π_{pos,taxGrp} from either side: refine Π_pos by taxGrp, or
+        // Π_taxGrp by pos.
         let r = employee_ranked();
+        let mut s = RefineScratch::default();
         let a = Partition::from_ranked_column(r.column(0));
         let b = Partition::from_ranked_column(r.column(3));
-        assert_eq!(normalize(&a.product(&b)), normalize(&b.product(&a)));
+        let ab = refine(&a, &r, 3, &mut s);
+        let ba = refine(&b, &r, 0, &mut s);
+        assert_eq!(normalize(&ab), normalize(&ba));
+        assert_eq!(normalize(&ab), brute_partition(&r, &[0, 3]));
     }
 
     #[test]
     fn product_with_unit_is_identity() {
         let r = employee_ranked();
+        let mut s = RefineScratch::default();
         let a = Partition::from_ranked_column(r.column(0));
         let u = Partition::unit(r.n_rows());
-        assert_eq!(normalize(&a.product(&u)), normalize(&a));
-        assert_eq!(normalize(&u.product(&a)), normalize(&a));
+        // Refining Π_∅ by a column yields that column's partition, and
+        // refining a partition by a column it already fixes changes
+        // nothing (not even the class order).
+        assert_eq!(normalize(&refine(&u, &r, 0, &mut s)), normalize(&a));
+        assert_eq!(refine(&a, &r, 0, &mut s), a);
+        // Both agree with the two-parent product against the unit.
+        assert_eq!(refine(&u, &r, 0, &mut s), reference_product(&a, &u));
+        assert_eq!(refine(&a, &r, 0, &mut s), reference_product(&u, &a));
     }
 
     #[test]
@@ -482,15 +575,90 @@ mod tests {
     #[test]
     fn scratch_reuse_is_clean() {
         let r = employee_ranked();
-        let mut scratch = ProductScratch::default();
+        let mut scratch = RefineScratch::default();
         let a = Partition::from_ranked_column(r.column(0));
-        let b = Partition::from_ranked_column(r.column(3));
-        let c = Partition::from_ranked_column(r.column(1));
-        let p1 = a.product_with_scratch(&b, &mut scratch);
-        let p2 = a.product_with_scratch(&b, &mut scratch);
-        assert_eq!(normalize(&p1), normalize(&p2));
-        let p3 = p1.product_with_scratch(&c, &mut scratch);
+        let p1 = refine(&a, &r, 3, &mut scratch);
+        let p2 = refine(&a, &r, 3, &mut scratch);
+        assert_eq!(p1, p2);
+        let p3 = refine(&p1, &r, 1, &mut scratch);
         assert_eq!(normalize(&p3), brute_partition(&r, &[0, 1, 3]));
+        // A narrower column after a wider one (and back) reuses the tally.
+        let p4 = refine(&a, &r, 2, &mut scratch);
+        assert_eq!(normalize(&p4), brute_partition(&r, &[0, 2]));
+        assert_eq!(refine(&a, &r, 3, &mut scratch), p1);
+    }
+
+    /// Refines `parent` by `ranks` and checks the result against the
+    /// two-parent product with `other` (any partition of a set that adds
+    /// exactly the refining column) and against the brute-force classes.
+    fn check_refinement(
+        parent: &Partition,
+        other: &Partition,
+        col: &[u32],
+        scratch: &mut RefineScratch,
+        brute: &[Vec<u32>],
+    ) -> Partition {
+        let n_distinct = col.iter().max().map_or(0, |&v| v + 1);
+        let refined = parent.refine_with_scratch(col, n_distinct, scratch);
+        assert_eq!(refined, reference_product(other, parent));
+        assert_eq!(normalize(&refined), brute);
+        assert!(refined.classes().all(|c| c.windows(2).all(|w| w[0] < w[1])));
+        refined
+    }
+
+    #[test]
+    fn refine_edge_cases_share_one_scratch() {
+        let mut scratch = RefineScratch::default();
+        for n in 0..=1 {
+            let col = vec![0u32; n];
+            let unit = Partition::unit(n);
+            let p = check_refinement(
+                &unit,
+                &Partition::from_ranks(&col, 1),
+                &col,
+                &mut scratch,
+                &[],
+            );
+            assert!(p.is_key());
+            assert_eq!(p.n_rows(), n);
+        }
+
+        let n = 12usize;
+        let distinct: Vec<u32> = (0..n as u32).collect();
+        let equal = vec![0u32; n];
+        let mixed: Vec<u32> = (0..n as u32).map(|r| r % 3).collect();
+        let p_distinct = Partition::from_ranks(&distinct, n as u32);
+        let p_equal = Partition::from_ranks(&equal, 1);
+        let p_mixed = Partition::from_ranks(&mixed, 3);
+        let cols = vec![distinct.clone(), equal.clone(), mixed.clone()];
+        let table = RankedTable::from_u32_columns(cols);
+
+        // A key (stripped-empty) parent stays empty whatever refines it.
+        assert!(p_distinct.is_key());
+        for (col, other) in [
+            (&equal, &p_equal),
+            (&mixed, &p_mixed),
+            (&distinct, &p_distinct),
+        ] {
+            let p = check_refinement(&p_distinct, other, col, &mut scratch, &[]);
+            assert!(p.is_key());
+        }
+        // An all-distinct column turns any parent into a key.
+        for parent in [&p_equal, &p_mixed, &Partition::unit(n)] {
+            check_refinement(parent, &p_distinct, &distinct, &mut scratch, &[]);
+        }
+        // An all-equal column changes nothing.
+        for parent in [&p_equal, &p_mixed] {
+            let p = check_refinement(parent, &p_equal, &equal, &mut scratch, &normalize(parent));
+            assert_eq!(&p, parent);
+        }
+        check_refinement(
+            &p_equal,
+            &p_mixed,
+            &mixed,
+            &mut scratch,
+            &brute_partition(&table, &[1, 2]),
+        );
     }
 
     #[test]
@@ -524,5 +692,67 @@ mod tests {
         let p = Partition::from_ranked_column(r.column(0));
         assert_eq!(p.max_class_size(), 5);
         assert_eq!(Partition::unit(0).max_class_size(), 0);
+    }
+
+    /// Tables of up to 40 rows and 2–6 columns, each column of cardinality
+    /// 1–8, so classes of 2, 3 and many rows all occur.
+    fn small_table() -> impl Strategy<Value = Vec<Vec<u32>>> {
+        (0usize..41, 2usize..7).prop_flat_map(|(n, n_cols)| {
+            proptest::collection::vec(
+                (1u32..9).prop_flat_map(move |card| proptest::collection::vec(0..card, n)),
+                n_cols,
+            )
+        })
+    }
+
+    thread_local! {
+        /// One scratch for every generated case, so a tally left un-reset
+        /// by one case corrupts a later one.
+        static SHARED: RefCell<RefineScratch> = RefCell::new(RefineScratch::default());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// For every attribute set `X` of at least two columns and every
+        /// `c ∈ X`, refining `Π_{X∖c}` by `c` equals (`==`, class order
+        /// included) the two-parent product of `Π_{X∖c}` with `Π_c` and
+        /// with a second parent `Π_{X∖d}`, and has the brute-force classes.
+        #[test]
+        fn refinement_matches_two_parent_product(cols in small_table()) {
+            let table = RankedTable::from_u32_columns(cols);
+            let n_cols = table.n_cols();
+            SHARED.with(|scratch| {
+                let scratch = &mut *scratch.borrow_mut();
+                // parts[bits] = Π of the set with those bits, each built by
+                // refining the set minus its highest column.
+                let mut parts = vec![Partition::unit(table.n_rows())];
+                for bits in 1usize..1 << n_cols {
+                    let high = usize::BITS as usize - 1 - bits.leading_zeros() as usize;
+                    let p = refine(&parts[bits & !(1 << high)], &table, high, scratch);
+                    parts.push(p);
+                }
+                for bits in 1usize..1 << n_cols {
+                    let attrs: Vec<usize> = (0..n_cols).filter(|a| bits >> a & 1 == 1).collect();
+                    let brute = brute_partition(&table, &attrs);
+                    prop_assert_eq!(normalize(&parts[bits]), brute.clone());
+                    prop_assert_eq!(
+                        normalize(&Partition::for_attrs(&table, attrs.iter().copied())),
+                        brute.clone()
+                    );
+                    for &c in &attrs {
+                        let parent = &parts[bits & !(1 << c)];
+                        let col = table.column(c);
+                        let refined = parent.refine_with_scratch(col.ranks(), col.n_distinct(), scratch);
+                        prop_assert_eq!(&refined, &reference_product(&parts[1 << c], parent));
+                        if let Some(&d) = attrs.iter().find(|&&d| d != c) {
+                            prop_assert_eq!(&refined, &reference_product(&parts[bits & !(1 << d)], parent));
+                        }
+                        prop_assert_eq!(normalize(&refined), brute.clone());
+                    }
+                }
+                Ok(())
+            })?;
+        }
     }
 }

@@ -196,7 +196,7 @@ pub fn tane(table: &RankedTable, config: &TaneConfig) -> TaneResult {
             if !ok || rhs.is_empty() {
                 continue;
             }
-            cache.product_into(join.parent_a, join.parent_b);
+            cache.product_into(table, join.parent_a, join.parent_b);
             next.push(Node {
                 set: join.child,
                 rhs,

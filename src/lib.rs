@@ -7,7 +7,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`table`] | total-ordered values, columnar tables, CSV, rank encoding |
-//! | [`partition`] | attribute sets, stripped partitions, products, cache |
+//! | [`partition`] | attribute sets, stripped partitions, refinement, cache |
 //! | [`lis`] | LNDS/LIS (patience), inversion counting |
 //! | [`exec`] | work-stealing scoped thread pool for per-level parallelism |
 //! | [`obs`] | dependency-free metrics: counters, gauges, histograms, Prometheus exposition |
