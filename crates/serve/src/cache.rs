@@ -11,7 +11,10 @@
 //! cap is part of the canonical config, so they cache fine.)
 //!
 //! Hit/miss counters feed `GET /stats`, which is how the acceptance test
-//! asserts "served from cache without re-validating".
+//! asserts "served from cache without re-validating". The resident bytes
+//! of every entry's payloads are summed on store and on evict, inside the
+//! same critical section, so `cache_bytes` in `/stats` and the
+//! `aod_serve_cache_bytes` gauge cost O(1) per scrape.
 //!
 //! The cache is bounded ([`MAX_CACHED_RUNS`], FIFO eviction): a resident
 //! server sweeping configs must not grow without bound. The key includes
@@ -35,14 +38,26 @@ pub type CacheKey = (String, u64, String);
 /// Everything needed to replay a completed run without recomputation.
 #[derive(Debug)]
 pub struct CachedRun {
-    /// The serialized NDJSON event lines (no trailing newline).
-    pub events: Arc<Vec<String>>,
+    /// The NDJSON event log: every serialized event followed by `'\n'`,
+    /// exactly the bytes `GET /jobs/{id}/events` sends. Shared with the
+    /// job that produced it and with every job answered from this entry.
+    pub events: Arc<String>,
+    /// Lines (events) in `events`.
+    pub n_events: usize,
     /// `DiscoveryResult::to_json` of the completed run.
     pub result_json: Arc<String>,
     /// `DiscoveryStats::to_json` of the completed run.
     pub stats_json: Arc<String>,
     /// Lattice levels the run completed.
     pub levels_completed: usize,
+}
+
+impl CachedRun {
+    /// Bytes of the payloads this entry keeps resident: event log, result
+    /// JSON and stats JSON.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        (self.events.len() + self.result_json.len() + self.stats_json.len()) as u64
+    }
 }
 
 /// Thread-safe bounded key → completed-run map with counters.
@@ -58,6 +73,8 @@ struct CacheInner {
     map: HashMap<CacheKey, Arc<CachedRun>>,
     /// Insertion order, for FIFO eviction at [`MAX_CACHED_RUNS`].
     order: VecDeque<CacheKey>,
+    /// Sum of [`CachedRun::resident_bytes`] over `map`.
+    bytes: u64,
 }
 
 impl ResultCache {
@@ -84,13 +101,16 @@ impl ResultCache {
         if inner.map.contains_key(&key) {
             return;
         }
+        inner.bytes += run.resident_bytes();
         inner.map.insert(key.clone(), Arc::new(run));
         inner.order.push_back(key);
         while inner.map.len() > MAX_CACHED_RUNS {
             let Some(oldest) = inner.order.pop_front() else {
                 break;
             };
-            inner.map.remove(&oldest);
+            if let Some(evicted) = inner.map.remove(&oldest) {
+                inner.bytes -= evicted.resident_bytes();
+            }
         }
     }
 
@@ -109,6 +129,12 @@ impl ResultCache {
         lock_or_recover(&self.inner).map.len()
     }
 
+    /// Resident bytes of every cached run's payloads (see
+    /// [`CachedRun::resident_bytes`]).
+    pub fn bytes(&self) -> u64 {
+        lock_or_recover(&self.inner).bytes
+    }
+
     /// `true` when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -121,7 +147,8 @@ mod tests {
 
     fn run() -> CachedRun {
         CachedRun {
-            events: Arc::new(vec!["{\"event\":\"x\"}".to_string()]),
+            events: Arc::new("{\"event\":\"x\"}\n".to_string()),
+            n_events: 1,
             result_json: Arc::new("{}".to_string()),
             stats_json: Arc::new("{}".to_string()),
             levels_completed: 3,
@@ -158,10 +185,22 @@ mod tests {
     #[test]
     fn oldest_entries_are_evicted_beyond_the_cap() {
         let cache = ResultCache::new();
+        // Logs of distinct lengths, so the byte total tells which entries
+        // it still counts.
+        let sized = |i: usize| CachedRun {
+            events: Arc::new("e\n".repeat(i)),
+            n_events: i,
+            ..run()
+        };
         for i in 0..(MAX_CACHED_RUNS + 10) {
-            cache.store(key("d", i as u64, "cfg"), run());
+            cache.store(key("d", i as u64, "cfg"), sized(i));
+            cache.store(key("d", i as u64, "cfg"), sized(i)); // no-op repeat
         }
         assert_eq!(cache.len(), MAX_CACHED_RUNS);
+        let resident: u64 = (10..MAX_CACHED_RUNS + 10)
+            .map(|i| sized(i).resident_bytes())
+            .sum();
+        assert_eq!(cache.bytes(), resident);
         assert!(cache.lookup(&key("d", 0, "cfg")).is_none()); // evicted
         assert!(cache
             .lookup(&key("d", (MAX_CACHED_RUNS + 9) as u64, "cfg"))

@@ -9,6 +9,10 @@
 //! * fixed-length responses with `Connection: close` semantics,
 //! * `Transfer-Encoding: chunked` responses for streaming NDJSON events.
 //!
+//! Sockets run with `TCP_NODELAY`, so every `write` leaves as its own
+//! segment: a response and each chunk are assembled in one buffer and sent
+//! with a single `write_all`.
+//!
 //! Every connection carries exactly one request/response exchange; clients
 //! that want another request open another connection. That keeps the
 //! server loop trivially robust (no pipelining, no keep-alive state
@@ -183,23 +187,22 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response and flushes it.
+/// Writes a complete fixed-length response, head and body in one write.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status,
         status_text(status),
         content_type,
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    response.push_str(body);
+    stream.write_all(response.as_bytes())
 }
 
 /// Writes a JSON response body.
@@ -207,11 +210,14 @@ pub fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> std::io::R
     write_response(stream, status, "application/json", body)
 }
 
-/// A `Transfer-Encoding: chunked` response in progress; each
-/// [`chunk`](ChunkedWriter::chunk) is flushed immediately so clients
-/// observe events as they happen.
+/// A `Transfer-Encoding: chunked` response in progress. Each
+/// [`chunk`](ChunkedWriter::chunk) goes out at once, as one write of size
+/// line, data and CRLF, so clients observe events as they happen; callers
+/// batch whatever is ready into one chunk rather than send many small ones.
 pub struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
+    /// The framed chunk being sent, reused across chunks.
+    buf: Vec<u8>,
 }
 
 impl<'a> ChunkedWriter<'a> {
@@ -228,8 +234,10 @@ impl<'a> ChunkedWriter<'a> {
             content_type
         );
         stream.write_all(head.as_bytes())?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream })
+        Ok(ChunkedWriter {
+            stream,
+            buf: Vec::new(),
+        })
     }
 
     /// Writes one chunk (empty data is skipped — an empty chunk would
@@ -238,16 +246,16 @@ impl<'a> ChunkedWriter<'a> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data.as_bytes())?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        self.buf.clear();
+        write!(self.buf, "{:x}\r\n", data.len())?;
+        self.buf.extend_from_slice(data.as_bytes());
+        self.buf.extend_from_slice(b"\r\n");
+        self.stream.write_all(&self.buf)
     }
 
     /// Terminates the stream with the zero-length chunk.
     pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+        self.stream.write_all(b"0\r\n\r\n")
     }
 }
 

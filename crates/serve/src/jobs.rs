@@ -7,9 +7,10 @@
 //! as a streaming `DiscoverySession`:
 //!
 //! * every emitted `DiscoveryEvent` is serialized once (via the stable
-//!   [`aod_core::wire`] encoding) into the job's event log, which
-//!   `GET /jobs/{id}/events` streams as NDJSON — including to clients that
-//!   attach mid-run or after completion (the log replays from the start);
+//!   [`aod_core::wire`] encoding) and appended, newline-terminated, to the
+//!   job's NDJSON event log, which `GET /jobs/{id}/events` streams —
+//!   including to clients that attach mid-run or after completion (the log
+//!   replays from the start);
 //! * `DELETE /jobs/{id}` fires the session's `CancelToken`; the engine
 //!   stops at the next node boundary and the job finishes with partial,
 //!   well-formed results flagged `stopped_early`;
@@ -317,10 +318,15 @@ struct JobState {
     status: JobStatus,
     cancel_requested: bool,
     levels_completed: usize,
-    /// `Arc` so cache-hit jobs *share* the cached run's log instead of
-    /// deep-copying it per job; a live runner is the unique owner, so
-    /// `Arc::make_mut` pushes in place.
-    events: Arc<Vec<String>>,
+    /// The NDJSON event log: every serialized event followed by `'\n'`,
+    /// appended in emission order — the exact bytes `/events` sends. `Arc`
+    /// so cache-hit jobs *share* the cached run's log instead of
+    /// deep-copying it per job. A live runner is the log's unique owner
+    /// (readers copy bytes out under the lock and never clone the `Arc`),
+    /// so `Arc::make_mut` appends in place.
+    events: Arc<String>,
+    /// Lines (events) in `events`.
+    n_events: usize,
     events_done: bool,
     result_json: Option<Arc<String>>,
     stats_json: Option<Arc<String>>,
@@ -355,7 +361,8 @@ impl Job {
                 status: JobStatus::Running,
                 cancel_requested: false,
                 levels_completed: 0,
-                events: Arc::new(Vec::new()),
+                events: Arc::new(String::new()),
+                n_events: 0,
                 events_done: false,
                 result_json: None,
                 stats_json: None,
@@ -393,7 +400,7 @@ impl Job {
             .bool("cached", self.cached)
             .bool("cancel_requested", state.cancel_requested)
             .num_u64("levels_completed", state.levels_completed as u64)
-            .num_u64("n_events", state.events.len() as u64)
+            .num_u64("n_events", state.n_events as u64)
             .raw("config", &self.config);
         match &state.stats_json {
             Some(stats) => obj.raw("stats", stats),
@@ -406,17 +413,22 @@ impl Job {
         obj.finish()
     }
 
-    /// Event lines from `from` onward, plus whether the log is complete.
-    /// Blocks up to `wait` for news when there is none yet.
-    pub fn events_after(&self, from: usize, wait: Duration) -> (Vec<String>, bool) {
+    /// The event log's bytes from byte offset `from` onward (whole
+    /// newline-terminated lines), plus whether the log is complete. Blocks
+    /// up to `wait` for news when there is none yet.
+    ///
+    /// The bytes are copied while the lock is held: handing out an `Arc`
+    /// clone of a live log would make the runner's next append deep-copy
+    /// the whole log.
+    pub fn events_after(&self, from: usize, wait: Duration) -> (String, bool) {
         let state = lock_or_recover(&self.state);
         let state = if state.events.len() <= from && !state.events_done {
             wait_timeout_or_recover(&self.cond, state, wait)
         } else {
             state
         };
-        let lines = state.events.get(from..).unwrap_or(&[]).to_vec();
-        (lines, state.events_done)
+        let bytes = state.events.get(from..).unwrap_or_default().to_string();
+        (bytes, state.events_done)
     }
 
     /// Blocks until the job leaves `Running` (test/smoke convenience).
@@ -427,9 +439,12 @@ impl Job {
         }
     }
 
-    fn push_event(&self, line: String, level_completed: bool) {
+    fn push_event(&self, line: &str, level_completed: bool) {
         let mut state = lock_or_recover(&self.state);
-        Arc::make_mut(&mut state.events).push(line);
+        let log = Arc::make_mut(&mut state.events);
+        log.push_str(line);
+        log.push('\n');
+        state.n_events += 1;
         if level_completed {
             state.levels_completed += 1;
         }
@@ -449,6 +464,7 @@ impl Job {
         let mut state = lock_or_recover(&self.state);
         state.status = JobStatus::Done;
         state.events = run.events.clone();
+        state.n_events = run.n_events;
         state.events_done = true;
         state.levels_completed = run.levels_completed;
         state.result_json = Some(run.result_json.clone());
@@ -729,7 +745,7 @@ fn run_job(
         let mut session = builder.build(&dataset.table);
         for event in session.by_ref() {
             let level_completed = matches!(event, DiscoveryEvent::LevelComplete(_));
-            job.push_event(event.to_json(), level_completed);
+            job.push_event(&event.to_json(), level_completed);
             if level_completed && !delay.is_zero() {
                 // Pace between levels, staying responsive to cancellation.
                 let mut slept = Duration::ZERO;
@@ -747,18 +763,22 @@ fn run_job(
             let complete = !result.is_partial();
             let result_json = Arc::new(result.to_json());
             let stats_json = Arc::new(result.stats.to_json());
-            let levels_completed = {
-                let state = lock_or_recover(&job.state);
-                state.levels_completed
-            };
             if complete {
                 // Share (not copy) the job's own log and payloads: cached
                 // replays and the finished job point at the same bytes.
-                let events = lock_or_recover(&job.state).events.clone();
+                // The runner appends no more, so the log is shrunk to fit
+                // here, while it still has one owner (once the cache holds
+                // a clone, `Arc::make_mut` would copy instead).
+                let (events, n_events, levels_completed) = {
+                    let mut state = lock_or_recover(&job.state);
+                    Arc::make_mut(&mut state.events).shrink_to_fit();
+                    (state.events.clone(), state.n_events, state.levels_completed)
+                };
                 cache.store(
                     key,
                     CachedRun {
                         events,
+                        n_events,
                         result_json: result_json.clone(),
                         stats_json: stats_json.clone(),
                         levels_completed,
@@ -957,6 +977,39 @@ mod tests {
         assert_eq!(manager.cache.hits(), 1);
         assert_eq!(*again.result_json().unwrap(), *result);
         assert_eq!(manager.submitted(), 2);
+        manager.shutdown();
+    }
+
+    #[test]
+    fn event_log_is_byte_addressed_and_shared_with_the_cache() {
+        let d = employee_dataset();
+        let manager = JobManager::new(2);
+        let spec = parse_spec(r#"{"epsilon":0.15}"#, &d).unwrap();
+        let job = manager.submit(d.clone(), spec.clone()).unwrap();
+        job.wait_done();
+        let (log, done) = job.events_after(0, Duration::ZERO);
+        assert!(done);
+        let n_events = lock_or_recover(&job.state).n_events;
+        assert_eq!(log.lines().count(), n_events);
+        assert!(log.ends_with('\n'));
+        // The cursor is a byte offset: from the end of the first line on,
+        // the rest of the log.
+        let first_end = log.find('\n').unwrap() + 1;
+        let (rest, _) = job.events_after(first_end, Duration::ZERO);
+        assert_eq!(rest, log[first_end..]);
+        assert_eq!(job.events_after(log.len(), Duration::ZERO).0, "");
+
+        // The cache holds the job's own log, shrunk to fit, and a hit
+        // shares it too.
+        let hit = manager.submit(d.clone(), spec).unwrap();
+        let key = (d.name.clone(), d.fingerprint, job.config.clone());
+        let cached = manager.cache.lookup(&key).unwrap();
+        let own = lock_or_recover(&job.state).events.clone();
+        assert!(Arc::ptr_eq(&own, &cached.events));
+        assert!(Arc::ptr_eq(&lock_or_recover(&hit.state).events, &own));
+        assert_eq!(own.capacity(), own.len());
+        assert_eq!(cached.n_events, n_events);
+        assert_eq!(lock_or_recover(&hit.state).n_events, n_events);
         manager.shutdown();
     }
 

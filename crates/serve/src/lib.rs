@@ -19,7 +19,7 @@
 //! | method & path | behaviour |
 //! |---------------|-----------|
 //! | `GET /health` | liveness + wire schema version |
-//! | `GET /stats` | request/job/cache counters, registry occupancy/capacity, admission rejections |
+//! | `GET /stats` | request/job/cache counters, resident cache bytes, registry occupancy/capacity, admission rejections |
 //! | `GET /metrics` | Prometheus text exposition: per-dataset job-latency histograms and discovery instruments plus the `/stats` counters (see [`metrics`](ServeMetrics)) |
 //! | `POST /datasets` | register `{"name":..., "csv":"path"}` or `{"name":..., "generate":{"dataset":"flight\|ncvoter\|employee","rows":N,"seed":S}}` |
 //! | `GET /datasets` | list registered datasets |
@@ -28,7 +28,7 @@
 //! | `POST /jobs` | submit `{"dataset":"name","config":{...}}`; 201 with job id (`"cached":true` when answered from the result cache) |
 //! | `GET /jobs/{id}` | status, progress, final stats |
 //! | `GET /jobs/{id}/result` | the completed `DiscoveryResult` (409 while running) |
-//! | `GET /jobs/{id}/events` | NDJSON `DiscoveryEvent` stream: full replay, then live tail |
+//! | `GET /jobs/{id}/events` | NDJSON `DiscoveryEvent` stream: full replay, then live tail, one chunk per batch of new events |
 //! | `GET /jobs/{id}/trace` | the job's span trace as Chrome `trace_event` JSON, byte-for-byte as stored (409 while running; 404 when not requested with `"trace":true`, answered from the cache, or evicted past [`MAX_RETAINED_TRACES`]) |
 //! | `DELETE /jobs/{id}` | cooperative cancel; the job finishes with partial results flagged `stopped_early` |
 //! | `POST /shutdown` | stop accepting, cancel running jobs, exit cleanly |

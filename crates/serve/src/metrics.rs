@@ -44,6 +44,9 @@ pub struct ServeSnapshot {
     pub cache_misses: u64,
     /// Result-cache resident entries.
     pub cache_entries: u64,
+    /// Result-cache resident payload bytes (event logs, result and stats
+    /// JSON).
+    pub cache_bytes: u64,
 }
 
 /// The server's metrics registry plus handles to every mirrored series.
@@ -61,6 +64,7 @@ pub struct ServeMetrics {
     cache_hits: Counter,
     cache_misses: Counter,
     cache_entries: Gauge,
+    cache_bytes: Gauge,
 }
 
 impl ServeMetrics {
@@ -110,6 +114,11 @@ impl ServeMetrics {
             cache_entries: registry.gauge(
                 "aod_serve_cache_entries",
                 "Result-cache resident entries.",
+                &[],
+            ),
+            cache_bytes: registry.gauge(
+                "aod_serve_cache_bytes",
+                "Result-cache resident bytes: event logs, result and stats JSON.",
                 &[],
             ),
             registry,
@@ -183,6 +192,7 @@ impl ServeMetrics {
         self.datasets_capacity.set(snapshot.datasets_capacity);
         self.jobs_running.set(snapshot.jobs_running);
         self.cache_entries.set(snapshot.cache_entries);
+        self.cache_bytes.set(snapshot.cache_bytes);
         self.registry.render()
     }
 }

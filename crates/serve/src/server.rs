@@ -7,18 +7,21 @@
 //! Discovery itself never runs on an accept worker — the
 //! [`JobManager`](crate::jobs::JobManager) spawns one thread per job.
 //!
-//! Shutdown (`POST /shutdown` or [`ServerHandle::shutdown`]) flips a flag;
-//! the nonblocking accept loops notice it within one poll interval,
-//! running jobs are cancelled through their `CancelToken`s, and every
-//! thread is joined before `run`/`join` returns — the "clean shutdown" the
-//! CI smoke job asserts.
+//! Accept workers block in `accept`, so a request is picked up the moment
+//! it arrives. Shutdown (`POST /shutdown` or [`ServerHandle::shutdown`])
+//! flips a flag and then wakes every worker with one loopback connection
+//! each to the bound address; a worker that sees the flag after `accept`
+//! returns drops that connection and exits. Running jobs are then
+//! cancelled through their `CancelToken`s, and every thread is joined
+//! before `run`/`join` returns — the "clean shutdown" the CI smoke job
+//! asserts.
 
 use crate::http::{read_request, write_json, write_response, ChunkedWriter, HttpError, Request};
 use crate::jobs::{JobManager, JobSpec, JobStatus};
 use crate::metrics::{ServeMetrics, ServeSnapshot};
 use crate::registry::{Registry, MAX_DATASETS};
 use aod_core::json::{JsonArray, JsonObject, JsonValue};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,6 +57,36 @@ struct ServerCtx {
     metrics: Arc<ServeMetrics>,
     shutdown: AtomicBool,
     requests: AtomicU64,
+    /// Where a shutdown connects to wake the accept workers.
+    wake_addr: SocketAddr,
+    /// Accept workers to wake.
+    workers: usize,
+}
+
+impl ServerCtx {
+    /// Sets the shutdown flag, then wakes every accept worker blocked in
+    /// `accept` with one connection each. A wake connection that finds its
+    /// worker busy waits in the backlog; a worker that returns from a
+    /// request sees the flag before it accepts again.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for _ in 0..self.workers {
+            // Failure means the listener is already closed (every worker
+            // gone), so there is no one left to wake.
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
+    }
+}
+
+/// The address a connection to the listener bound at `bound` reaches it
+/// on: loopback in place of an unspecified (all-interfaces) address.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// A bound (but not yet serving) discovery service.
@@ -68,6 +101,7 @@ impl Server {
     /// [`run`](Server::run) or [`spawn`](Server::spawn).
     pub fn bind(config: &ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind((config.bind.as_str(), config.port))?;
+        let wake_addr = wake_addr(listener.local_addr()?);
         let threads = if config.threads == 0 {
             std::thread::available_parallelism().map_or(2, |n| n.get())
         } else {
@@ -83,12 +117,14 @@ impl Server {
                 metrics,
                 shutdown: AtomicBool::new(false),
                 requests: AtomicU64::new(0),
+                wake_addr,
+                workers: threads,
             }),
         })
     }
 
     /// The bound address (resolves port 0 for tests).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -109,7 +145,6 @@ impl Server {
     /// entry point).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        self.listener.set_nonblocking(true)?;
         let listener = Arc::new(self.listener);
         let mut workers = Vec::with_capacity(self.threads);
         for i in 0..self.threads {
@@ -133,20 +168,20 @@ impl Server {
 /// [`shutdown`](ServerHandle::shutdown) + [`join`](ServerHandle::join) (or
 /// just [`join`](ServerHandle::join) to block until an HTTP shutdown).
 pub struct ServerHandle {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     ctx: Arc<ServerCtx>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Requests shutdown (same as `POST /shutdown`).
     pub fn shutdown(&self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.request_shutdown();
     }
 
     /// Blocks until every accept worker exited (i.e. until shutdown), then
@@ -159,31 +194,31 @@ impl ServerHandle {
     }
 }
 
-/// One accept worker: nonblocking accept, poll the shutdown flag. A panic
-/// while handling a request (a registry/engine bug, not I/O) drops that
-/// connection but must not kill the worker — the server keeps serving.
+/// One accept worker: blocking accept until the shutdown flag is seen. A
+/// panic while handling a request (a registry/engine bug, not I/O) drops
+/// that connection but must not kill the worker — the server keeps
+/// serving.
 fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
     while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            // A wake-up connection, or a client that arrived too late.
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     handle_connection(stream, ctx);
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of file descriptors and the like: back off rather than
+            // spin on an error that persists.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
 fn handle_connection(mut stream: TcpStream, ctx: &Arc<ServerCtx>) {
-    // The listener is nonblocking; accepted sockets inherit that on some
-    // platforms, and request handling wants plain blocking I/O.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_nodelay(true);
     ctx.requests.fetch_add(1, Ordering::Relaxed);
@@ -240,7 +275,7 @@ fn route(stream: &mut TcpStream, ctx: &Arc<ServerCtx>, request: &Request) {
         },
         ["shutdown"] => match method {
             "POST" => {
-                ctx.shutdown.store(true, Ordering::SeqCst);
+                ctx.request_shutdown();
                 let mut obj = JsonObject::new();
                 obj.str("status", "shutting down");
                 write_json(stream, 202, &obj.finish())
@@ -353,6 +388,7 @@ fn server_snapshot(ctx: &ServerCtx) -> ServeSnapshot {
         cache_hits: ctx.jobs.cache.hits(),
         cache_misses: ctx.jobs.cache.misses(),
         cache_entries: ctx.jobs.cache.len() as u64,
+        cache_bytes: ctx.jobs.cache.bytes(),
     }
 }
 
@@ -368,7 +404,8 @@ fn server_stats(ctx: &ServerCtx) -> String {
         .num_u64("jobs_running", snapshot.jobs_running)
         .num_u64("cache_hits", snapshot.cache_hits)
         .num_u64("cache_misses", snapshot.cache_misses)
-        .num_u64("cache_entries", snapshot.cache_entries);
+        .num_u64("cache_entries", snapshot.cache_entries)
+        .num_u64("cache_bytes", snapshot.cache_bytes);
     obj.finish()
 }
 
@@ -486,7 +523,8 @@ fn parse_body(request: &Request) -> Result<JsonValue, String> {
 
 /// Streams the job's NDJSON event log as chunked transfer encoding: replay
 /// from the start, then follow live until the log completes (or the server
-/// shuts down, which ends the stream cleanly).
+/// shuts down, which ends the stream cleanly). Each wake-up sends
+/// everything logged since the last one as a single chunk.
 fn stream_events(
     stream: &mut TcpStream,
     ctx: &Arc<ServerCtx>,
@@ -495,19 +533,13 @@ fn stream_events(
     let mut writer = ChunkedWriter::begin(stream, 200, "application/x-ndjson")?;
     let mut cursor = 0usize;
     loop {
-        let (lines, done) = job.events_after(cursor, Duration::from_millis(100));
-        for line in &lines {
-            writer.chunk(line)?;
-            writer.chunk("\n")?;
-        }
-        cursor += lines.len();
+        let (bytes, done) = job.events_after(cursor, Duration::from_millis(100));
+        writer.chunk(&bytes)?;
+        cursor += bytes.len();
         if done || ctx.shutdown.load(Ordering::SeqCst) {
             // Drain anything that landed between the last wait and `done`.
             let (rest, _) = job.events_after(cursor, Duration::ZERO);
-            for line in &rest {
-                writer.chunk(line)?;
-                writer.chunk("\n")?;
-            }
+            writer.chunk(&rest)?;
             return writer.finish();
         }
     }

@@ -1,10 +1,12 @@
 //! Model check for the result cache's insert / FIFO-evict / hit protocol.
 //!
-//! `ResultCache::store` does its contains-check, insert, order push and
-//! FIFO eviction **under a single `inner` mutex critical section** (see
-//! `src/cache.rs`) — that is the entire argument for why the `map` and
-//! the `order` queue can never disagree, why the cache never exceeds its
-//! cap, and why two threads storing the same key cannot double-insert.
+//! `ResultCache::store` does its contains-check, insert, order push, FIFO
+//! eviction and resident-byte bookkeeping **under a single `inner` mutex
+//! critical section** (see `src/cache.rs`) — that is the entire argument
+//! for why the `map` and the `order` queue can never disagree, why the
+//! cache never exceeds its cap, why two threads storing the same key
+//! cannot double-insert, and why the byte total a scrape reads always
+//! equals the sum over the resident entries.
 //! These models verify the argument under every interleaving of
 //! concurrent storers racing a reader hitting the about-to-be-evicted
 //! key, via the vendored mini-loom explorer: one model step = one
@@ -14,9 +16,26 @@
 
 use loom::model::{explore, Model};
 
+/// Resident bytes of the run stored under `key` (distinct per key, so a
+/// total that counts the wrong entries cannot match by accident).
+fn run_bytes(key: u64) -> u64 {
+    1000 + key
+}
+
+/// The byte-total invariant: `bytes` equals the sum over `resident`.
+fn check_bytes(bytes: u64, resident: &[u64]) -> Result<(), String> {
+    let sum: u64 = resident.iter().map(|&k| run_bytes(k)).sum();
+    if bytes != sum {
+        return Err(format!(
+            "byte total {bytes} != {sum} summed over resident keys {resident:?}"
+        ));
+    }
+    Ok(())
+}
+
 /// Faithful model: each storer inserts its key, pushes it on the FIFO
-/// order queue, and evicts past the cap in ONE atomic step, mirroring
-/// `store`; the reader thread performs one `lookup` of `hit_key` (also a
+/// order queue, and evicts past the cap — adding and subtracting resident
+/// bytes as it goes — in ONE atomic step, mirroring `store`; the reader thread performs one `lookup` of `hit_key` (also a
 /// single critical section) at an arbitrary point in the race.
 struct CacheProtocol {
     /// Key stored by thread `t` (duplicates model same-key races).
@@ -32,6 +51,8 @@ struct CacheState {
     /// together; the invariant checks they cannot diverge).
     map: Vec<u64>,
     order: Vec<u64>,
+    /// The resident-byte total `store` maintains.
+    bytes: u64,
     stored: Vec<bool>,
     reader_done: bool,
     hits: u64,
@@ -78,14 +99,17 @@ impl Model for CacheProtocol {
             return;
         }
         // One `store` critical section: contains-check, insert, push,
-        // FIFO-evict — indivisible, exactly like the production mutex.
+        // FIFO-evict, byte bookkeeping — indivisible, exactly like the
+        // production mutex.
         let key = self.store_keys[t];
         if !s.map.contains(&key) {
+            s.bytes += run_bytes(key);
             s.map.push(key);
             s.order.push(key);
             while s.map.len() > self.cap {
                 let oldest = s.order.remove(0);
                 s.map.retain(|&k| k != oldest);
+                s.bytes -= run_bytes(oldest);
             }
         }
         s.stored[t] = true;
@@ -106,7 +130,7 @@ impl Model for CacheProtocol {
                 s.order.len()
             ));
         }
-        Ok(())
+        check_bytes(s.bytes, &s.map)
     }
 
     fn final_check(&self, s: &CacheState) -> Result<(), String> {

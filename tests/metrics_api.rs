@@ -154,7 +154,7 @@ fn metrics_scrape_carries_job_histograms_and_discovery_instruments() {
     let handle = start_server();
     let addr = handle.addr();
     register_employee(addr, "emp");
-    run_job(addr, r#"{"dataset":"emp","config":{"epsilon":0.15}}"#);
+    let id = run_job(addr, r#"{"dataset":"emp","config":{"epsilon":0.15}}"#);
 
     let first = scrape(addr);
     // The finished job landed in the per-dataset latency histogram.
@@ -182,6 +182,23 @@ fn metrics_scrape_carries_job_histograms_and_discovery_instruments() {
     assert_eq!(first["aod_serve_jobs_executed_total"], 1.0);
     assert_eq!(first["aod_serve_datasets"], 1.0);
     assert_eq!(first["aod_serve_datasets_capacity"], MAX_DATASETS as f64);
+    // The cache-bytes gauge covers the one cached run's event log, result
+    // and stats, and `/stats` reports the same total.
+    let events = request(addr, "GET", &format!("/jobs/{id}/events"), None).unwrap();
+    let result = request(addr, "GET", &format!("/jobs/{id}/result"), None).unwrap();
+    let cache_bytes = first["aod_serve_cache_bytes"];
+    assert!(
+        cache_bytes > (events.body.len() + result.body.len()) as f64,
+        "{cache_bytes} cached bytes do not cover the event log and result"
+    );
+    let stats = request(addr, "GET", "/stats", None)
+        .unwrap()
+        .json()
+        .unwrap();
+    assert_eq!(
+        stats.get("cache_bytes").unwrap().as_u64(),
+        Some(cache_bytes as u64)
+    );
 
     // A cache-hit resubmission and a fresh config both move counters the
     // right way, and nothing cumulative regresses.
@@ -195,6 +212,10 @@ fn metrics_scrape_carries_job_histograms_and_discovery_instruments() {
     assert_eq!(second["aod_serve_jobs_submitted_total"], 3.0);
     assert_eq!(second["aod_serve_jobs_executed_total"], 2.0);
     assert!(second["aod_serve_cache_hits_total"] >= 1.0);
+    assert!(
+        second["aod_serve_cache_bytes"] > cache_bytes,
+        "the fresh config's run did not add to the cached bytes"
+    );
     assert_eq!(
         second["aod_serve_job_duration_us_count{dataset=\"emp\"}"], 2.0,
         "cache hits must not observe job latency"

@@ -14,7 +14,9 @@ use aod::prelude::*;
 use aod::serve::client::{request, EventStream};
 use aod::serve::json::JsonValue;
 use aod::serve::{ServeConfig, Server, ServerHandle};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn start_server() -> ServerHandle {
@@ -130,6 +132,108 @@ fn event_stream_matches_in_process_replay_bit_for_bit() {
     assert_eq!(again.collect_lines().unwrap(), replay);
     handle.shutdown();
     handle.join();
+}
+
+/// `GET path` over a raw socket; returns the chunked body's data chunks in
+/// order, undecoded, so a test sees how the server framed the stream.
+fn raw_chunks(addr: SocketAddr, path: &str) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(stream, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let (head, mut body) = raw.split_once("\r\n\r\n").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+    let mut chunks = Vec::new();
+    loop {
+        let (size, rest) = body.split_once("\r\n").unwrap();
+        let size = usize::from_str_radix(size, 16).unwrap();
+        if size == 0 {
+            assert_eq!(rest, "\r\n", "bytes after the last chunk");
+            return chunks;
+        }
+        chunks.push(rest[..size].to_string());
+        assert_eq!(&rest[size..size + 2], "\r\n");
+        body = &rest[size + 2..];
+    }
+}
+
+#[test]
+fn event_bytes_match_in_process_lines_live_and_from_cache() {
+    let handle = start_server();
+    let addr = handle.addr();
+    register_employee(addr, "emp");
+    let ranked = RankedTable::from_table(&employee_table());
+    let mut session = DiscoveryBuilder::new().approximate(0.1).build(&ranked);
+    let lines: Vec<String> = session.by_ref().map(|e| e.to_json()).collect();
+    let expected: String = lines.iter().map(|line| format!("{line}\n")).collect();
+
+    // Paced between levels, so the live stream follows a running job.
+    let body = r#"{"dataset":"emp","config":{"epsilon":0.1,"level_delay_ms":20}}"#;
+    let live = submit_job(addr, body);
+    let chunks = raw_chunks(addr, &format!("/jobs/{live}/events"));
+    assert!(
+        chunks.iter().all(|chunk| chunk.ends_with('\n')),
+        "a chunk split an event line"
+    );
+    assert_eq!(chunks.concat(), expected, "live stream != in-process lines");
+    let status = wait_done(addr, live);
+    assert_eq!(status.get("cached").unwrap().as_bool(), Some(false));
+    assert_eq!(
+        status.get("n_events").unwrap().as_u64(),
+        Some(lines.len() as u64)
+    );
+
+    // The cache hit replays the whole log as one chunk.
+    let hit = submit_job(addr, body);
+    let status = wait_done(addr, hit);
+    assert_eq!(status.get("cached").unwrap().as_bool(), Some(true));
+    assert_eq!(
+        status.get("n_events").unwrap().as_u64(),
+        Some(lines.len() as u64)
+    );
+    assert_eq!(
+        raw_chunks(addr, &format!("/jobs/{hit}/events")),
+        std::slice::from_ref(&expected),
+        "cached replay != in-process lines in one chunk"
+    );
+    let decoded = request(addr, "GET", &format!("/jobs/{hit}/events"), None).unwrap();
+    assert_eq!(decoded.body, expected);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn idle_workers_shut_down_within_two_seconds() {
+    // The handle's shutdown on a loopback bind, and `POST /shutdown` on an
+    // all-interfaces bind (whose workers are woken over loopback).
+    for (bind, over_http) in [("127.0.0.1", false), ("0.0.0.0", true)] {
+        let handle = Server::bind(&ServeConfig {
+            bind: bind.to_string(),
+            port: 0,
+            threads: 4,
+            max_jobs: 1,
+        })
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let addr = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+        let health = request(addr, "GET", "/health", None).unwrap();
+        assert_eq!(health.status, 200);
+        let (joined, wait) = mpsc::channel();
+        std::thread::spawn(move || {
+            if over_http {
+                let r = request(addr, "POST", "/shutdown", None).unwrap();
+                assert_eq!(r.status, 202);
+            } else {
+                handle.shutdown();
+            }
+            handle.join();
+            joined.send(()).unwrap();
+        });
+        wait.recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("bind {bind}: workers not joined within 2 s"));
+    }
 }
 
 #[test]
