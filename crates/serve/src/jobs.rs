@@ -415,7 +415,9 @@ impl Job {
 
     /// The event log's bytes from byte offset `from` onward (whole
     /// newline-terminated lines), plus whether the log is complete. Blocks
-    /// up to `wait` for news when there is none yet.
+    /// up to `wait` for news when there is none yet; the runner wakes
+    /// waiters at each level's end and when the log completes, and a wait
+    /// that times out returns whatever was logged meanwhile.
     ///
     /// The bytes are copied while the lock is held: handing out an `Arc`
     /// clone of a live log would make the runner's next append deep-copy
@@ -439,6 +441,10 @@ impl Job {
         }
     }
 
+    /// Appends one event line. Readers are woken at level ends only, not
+    /// per event: a reader woken per event sends one chunk per event while
+    /// it keeps up and batches once it falls behind, so a job's wake-ups,
+    /// writes and context switches would depend on thread scheduling.
     fn push_event(&self, line: &str, level_completed: bool) {
         let mut state = lock_or_recover(&self.state);
         let log = Arc::make_mut(&mut state.events);
@@ -447,8 +453,8 @@ impl Job {
         state.n_events += 1;
         if level_completed {
             state.levels_completed += 1;
+            self.cond.notify_all();
         }
-        self.cond.notify_all();
     }
 
     fn finish(&self, result_json: Arc<String>, stats_json: Arc<String>) {
@@ -978,6 +984,29 @@ mod tests {
         assert_eq!(*again.result_json().unwrap(), *result);
         assert_eq!(manager.submitted(), 2);
         manager.shutdown();
+    }
+
+    #[test]
+    fn readers_are_woken_at_level_ends_not_per_event() {
+        let job = Job::new(1, "emp", String::new(), false);
+        job.push_event("a", false);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| loop {
+                // Empty means a timeout or a spurious wake-up: wait again.
+                let (bytes, _) = job.events_after(2, Duration::from_secs(30));
+                if !bytes.is_empty() {
+                    return bytes;
+                }
+            });
+            std::thread::sleep(Duration::from_millis(200));
+            job.push_event("b", false);
+            std::thread::sleep(Duration::from_millis(200));
+            job.push_event("c", true);
+            assert_eq!(reader.join().unwrap(), "b\nc\n");
+        });
+        // What was logged is there for a reader that looks without waiting.
+        job.push_event("d", false);
+        assert_eq!(job.events_after(6, Duration::ZERO).0, "d\n");
     }
 
     #[test]

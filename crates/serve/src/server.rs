@@ -524,7 +524,9 @@ fn parse_body(request: &Request) -> Result<JsonValue, String> {
 /// Streams the job's NDJSON event log as chunked transfer encoding: replay
 /// from the start, then follow live until the log completes (or the server
 /// shuts down, which ends the stream cleanly). Each wake-up sends
-/// everything logged since the last one as a single chunk.
+/// everything logged since the last one as a single chunk; the runner
+/// wakes the stream at each level's end, and a 100 ms wait that times out
+/// sends whatever arrived meanwhile.
 fn stream_events(
     stream: &mut TcpStream,
     ctx: &Arc<ServerCtx>,
